@@ -22,6 +22,13 @@ cmake --build build -j
 echo "=== tier-1: ctest ==="
 ctest --test-dir build --output-on-failure -j
 
+echo "=== shm cache: the multi-process battery, repeated ==="
+# Concurrent writers of one key race only when the forked children
+# overlap in time, so one run can miss a duplicate-publication bug; 50
+# runs take a few seconds.
+./build/tests/solver_tests --gtest_filter='ShmCache*' --gtest_repeat=50 \
+  --gtest_brief=1
+
 echo "=== trace smoke: bench --trace-out -> sde_trace validate/export ==="
 TRACE_SMOKE=$(mktemp -d)
 trap 'rm -rf "$TRACE_SMOKE"' EXIT

@@ -18,17 +18,21 @@ namespace {
 constexpr char kMagic[8] = {'S', 'D', 'E', 'S', 'H', 'M', 'Q', 'C'};
 // Bumped on any header or slot layout change; attach() rejects every
 // other version (no migration, same policy as the snapshot formats).
-constexpr std::uint32_t kLayoutVersion = 1;
+// Version 2: slots are claimed by CAS on the digest word, not on
+// `state` (a version-1 writer would publish duplicate keys).
+constexpr std::uint32_t kLayoutVersion = 2;
 // Two-phase init: the creator publishes this marker only after the
 // header geometry is fully written, so an attacher racing a crashed
 // creator sees a not-ready segment, never half-written geometry.
 constexpr std::uint64_t kReadyMarker = 0x52454144u;  // "READ"
 
-// Slot lifecycle. Claimed-but-never-published slots are the residue of
-// a writer killed mid-insert; everyone probes past them.
-constexpr std::uint64_t kSlotEmpty = 0;
-constexpr std::uint64_t kSlotClaimed = 1;
-constexpr std::uint64_t kSlotPublished = 2;
+// Slot lifecycle: free (digest 0) -> claimed (digest set by CAS, state
+// still 0) -> published (state kSlotPublished). Claimed-but-never-
+// published slots are either mid-write or the residue of a writer
+// killed mid-insert; writers of other keys probe past them, writers of
+// the same digest drop their insert.
+constexpr std::uint64_t kDigestFree = 0;
+constexpr std::uint64_t kSlotPublished = 1;
 
 // Bounded probing: beyond this the table is effectively saturated and
 // inserts are dropped (lookups that probe this far without a match
@@ -68,10 +72,11 @@ struct ShmQueryCache::Header {
 
 // One open-addressed table slot. The variable-size tail (key hashes,
 // then bindings) is laid out after the fixed fields according to the
-// header geometry; `state` is the publication gate.
+// header geometry. `digest` is the claim word (0 = free) and `state`
+// the publication gate.
 struct ShmQueryCache::Slot {
   std::atomic<std::uint64_t> state;
-  std::uint64_t digest;
+  std::atomic<std::uint64_t> digest;
   std::uint32_t keyLen;
   std::uint32_t numBindings;
   std::uint8_t status;  // EnumStatus
@@ -164,7 +169,7 @@ std::unique_ptr<ShmQueryCache> ShmQueryCache::create(
     throw ShmCacheError("mmap(" + name + ") failed: " + std::strerror(err));
   }
 
-  // ftruncate zero-fills, so every slot already reads kSlotEmpty; only
+  // ftruncate zero-fills, so every slot already reads free; only
   // the header needs explicit initialization.
   auto cache = std::unique_ptr<ShmQueryCache>(
       new ShmQueryCache(name, fd, base, config.bytes));
@@ -275,11 +280,16 @@ std::optional<SharedQueryResult> ShmQueryCache::lookup(
   const std::uint64_t probes = std::min<std::uint64_t>(kMaxProbe, h.capacity);
   for (std::uint64_t i = 0; i < probes; ++i) {
     const Slot* slot = slotAt((digest + i) % h.capacity);
-    const std::uint64_t state = slot->state.load(std::memory_order_acquire);
-    if (state == kSlotEmpty) break;  // claimed slots: keep probing
-    if (state != kSlotPublished) continue;
-    if (slot->digest != digest || slot->keyLen != key.size()) continue;
-    if (!std::equal(key.begin(), key.end(), slot->keyHashes())) continue;
+    const std::uint64_t claimed = slot->digest.load(std::memory_order_acquire);
+    if (claimed == kDigestFree) break;
+    if (claimed != digest) continue;
+    // Only published slots are trusted, and the whole key is re-checked
+    // (a digest collision is another key).
+    if (slot->state.load(std::memory_order_acquire) != kSlotPublished)
+      continue;
+    if (slot->keyLen != key.size() ||
+        !std::equal(key.begin(), key.end(), slot->keyHashes()))
+      continue;
 
     SharedQueryResult result;
     result.status = static_cast<EnumStatus>(slot->status);
@@ -325,20 +335,25 @@ void ShmQueryCache::insert(const SharedQueryKey& key,
   const std::uint64_t probes = std::min<std::uint64_t>(kMaxProbe, h.capacity);
   for (std::uint64_t i = 0; i < probes; ++i) {
     Slot* slot = slotAt((digest + i) % h.capacity);
-    std::uint64_t state = slot->state.load(std::memory_order_acquire);
-    if (state == kSlotPublished) {
+    std::uint64_t claimed = slot->digest.load(std::memory_order_acquire);
+    if (claimed != kDigestFree ||
+        !slot->digest.compare_exchange_strong(claimed, digest,
+                                              std::memory_order_acq_rel)) {
+      // Taken (a lost CAS leaves the winner's digest in `claimed`).
+      // Other keys' slots, published or not, are probed past.
+      if (claimed != digest) continue;
+      // Same digest but unpublished: the same key is in flight in
+      // another writer, or its writer was killed mid-insert. Probing
+      // past would publish the key twice; dropping is always sound.
+      if (slot->state.load(std::memory_order_acquire) != kSlotPublished)
+        return;
       // First writer wins: an equal key already published means drop.
-      if (slot->digest == digest && slot->keyLen == key.size() &&
+      if (slot->keyLen == key.size() &&
           std::equal(key.begin(), key.end(), slot->keyHashes()))
         return;
-      continue;
+      continue;  // a digest collision with another key
     }
-    if (state == kSlotClaimed) continue;  // stuck or mid-write: probe past
-    if (!slot->state.compare_exchange_strong(state, kSlotClaimed,
-                                             std::memory_order_acq_rel))
-      continue;  // lost the race for this slot; try the next one
 
-    slot->digest = digest;
     slot->keyLen = static_cast<std::uint32_t>(key.size());
     slot->status = static_cast<std::uint8_t>(result.status);
     slot->numBindings = static_cast<std::uint32_t>(result.model.size());

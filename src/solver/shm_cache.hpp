@@ -9,14 +9,22 @@
 // leaked forever by a SIGKILLed holder, while a slot-claim CAS cannot
 // wedge anybody:
 //
-//   * insert claims a slot (state empty -> claimed, one CAS), writes the
-//     payload, then publishes (state -> published, release store). A
-//     worker killed mid-write leaves the slot claimed forever; readers
-//     and writers simply probe past it. One slot is wasted, nothing
-//     blocks, nothing is torn.
+//   * insert claims a slot by one CAS on its digest word (0 -> the key's
+//     digest; digest 0 is reserved as free), writes the payload, then
+//     publishes (state -> published, release store).
+//   * a writer that meets a slot carrying its own digest compares the
+//     full key if the slot is published (equal: first writer wins,
+//     drop), and drops its insert if it is not: the same key is in
+//     flight in another writer, and probing past would publish it
+//     twice. Slots of other digests are probed past, published or not.
+//   * a worker killed mid-write leaves its slot claimed forever. Other
+//     keys probe past it, so nothing blocks and nothing is torn; its
+//     own key is never cached in this segment again (every later
+//     insert of it drops), which costs hits, never correctness.
 //   * entries are immutable once published (first writer wins, no
 //     updates, no deletes), so a lookup that sees `published` (acquire
-//     load) reads a complete, final payload.
+//     load) reads a complete, final payload. A lookup ends its probe at
+//     a free slot, trusts only published slots and re-checks the key.
 //
 // Everything else follows the SharedQueryStore contract (see
 // shared_cache.hpp): context-independent keys, canonical values only,

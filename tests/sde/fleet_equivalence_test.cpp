@@ -24,6 +24,7 @@
 #include <string>
 
 #include "sde/fleet.hpp"
+#include "snapshot/shared_cache_io.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -123,6 +124,17 @@ TEST_P(FleetEquivalenceTest, TestcasesMatchThreadRunner) {
             reference.result.fingerprintDigest());
   EXPECT_EQ(run.result.testcases, reference.result.testcases);
   EXPECT_GT(run.shmHits, 0u);  // sharing actually happened
+
+  // The shared_cache.bin sidecar the shm run leaves holds each key once
+  // (strictly increasing) and every entry the segment counted.
+  std::ifstream sidecar(snapshot::sharedCachePath(dir.string()),
+                        std::ios::binary);
+  ASSERT_TRUE(sidecar.good());
+  const snapshot::SharedCacheEntries entries =
+      snapshot::readSharedCacheEntries(sidecar);
+  for (std::size_t i = 1; i < entries.size(); ++i)
+    EXPECT_LT(entries[i - 1].first, entries[i].first) << "entry " << i;
+  EXPECT_EQ(entries.size(), run.shmEntries);
   fs::remove_all(dir);
 }
 

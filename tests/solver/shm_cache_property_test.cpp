@@ -66,6 +66,22 @@ SharedQueryResult canonicalResult(std::uint64_t i) {
   return result;
 }
 
+// The byte layout of a segment, as shm_cache.cpp lays it out: a header
+// of 88 bytes, then fixed-size slots whose first two words are the
+// publication state (0 until published) and the claim digest (0 free).
+constexpr std::size_t kHeaderBytes = 88;
+constexpr std::size_t kSlotStateOffset = 0;
+constexpr std::size_t kSlotDigestOffset = 8;
+
+// A key's claim digest; its home slot is digest % capacity (keyDigest in
+// shm_cache.cpp).
+std::uint64_t claimDigest(const SharedQueryKey& key) {
+  support::Hasher h;
+  for (const std::uint64_t v : key) h.u64(v);
+  const std::uint64_t digest = h.digest();
+  return digest == 0 ? 1 : digest;
+}
+
 TEST(ShmCachePropertyTest, InsertLookupRoundtripAndFirstWriterWins) {
   const ScopedSegment seg(freshName("roundtrip"));
   auto cache = ShmQueryCache::create(seg.name);
@@ -182,6 +198,76 @@ TEST(ShmCachePropertyTest, MultiProcessReadersWritersNeverFabricate) {
   }
 }
 
+// The state a killed writer leaves behind (and, for an instant, every
+// writer mid-insert): a slot claimed for key K but never published.
+// Planted deterministically here, since the multi-process test above
+// only meets it when the timing allows. A second writer of K must not
+// publish K into another slot (that was the duplicate-key bug), and a
+// key whose probe chain crosses the slot must still be stored.
+TEST(ShmCachePropertyTest, UnpublishedClaimDropsItsKeyAndBlocksNoOther) {
+  const ScopedSegment seg(freshName("claimed"));
+  ShmCacheConfig config;
+  config.maxConjuncts = 8;
+  config.maxBindings = 4;
+  config.nameBytes = 16;
+  // Fixed slot fields, key hashes, then bindings (width, pad, value,
+  // name).
+  const std::size_t slotBytes = 32 + 8 * 8 + 4 * (16 + 16);
+  constexpr std::uint64_t kSlots = 16;
+  config.bytes = kHeaderBytes + kSlots * slotBytes;
+  auto cache = ShmQueryCache::create(seg.name, config);
+  ASSERT_EQ(cache->capacitySlots(), kSlots);
+
+  const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
+  ASSERT_GE(fd, 0);
+  void* base = ::mmap(nullptr, config.bytes, PROT_READ | PROT_WRITE,
+                      MAP_SHARED, fd, 0);
+  ::close(fd);
+  ASSERT_NE(base, MAP_FAILED);
+  const auto wordAt = [&](std::uint64_t slot, std::size_t offset) {
+    return static_cast<char*>(base) + kHeaderBytes + slot * slotBytes + offset;
+  };
+  const auto readWord = [&](std::uint64_t slot, std::size_t offset) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, wordAt(slot, offset), sizeof(value));
+    return value;
+  };
+
+  // K, and another key L whose home slot is K's, so L's probe chain
+  // starts at the planted slot.
+  const SharedQueryKey k = canonicalKey(0);
+  const std::uint64_t plantedDigest = claimDigest(k);
+  const std::uint64_t home = plantedDigest % kSlots;
+  std::uint64_t l = 1;
+  while (l < 1000 && claimDigest(canonicalKey(l)) % kSlots != home) ++l;
+  ASSERT_LT(l, 1000u) << "no key shares K's home slot";
+
+  std::memcpy(wordAt(home, kSlotDigestOffset), &plantedDigest,
+              sizeof(plantedDigest));
+
+  cache->insert(k, canonicalResult(0));
+  EXPECT_EQ(cache->entries(), 0u);
+  EXPECT_TRUE(cache->sortedEntries().empty());
+  EXPECT_FALSE(cache->lookup(k).has_value());
+  EXPECT_EQ(readWord(home, kSlotStateOffset), 0u) << "claim was published";
+
+  cache->insert(canonicalKey(l), canonicalResult(l));
+  EXPECT_EQ(cache->entries(), 1u);
+  const auto hit = cache->lookup(canonicalKey(l));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, canonicalResult(l));
+  // L went to the next slot of its chain, past the unpublished claim.
+  const std::uint64_t next = (home + 1) % kSlots;
+  EXPECT_EQ(readWord(next, kSlotDigestOffset), claimDigest(canonicalKey(l)));
+  EXPECT_NE(readWord(next, kSlotStateOffset), 0u);
+  const auto entries = cache->sortedEntries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].first, canonicalKey(l));
+  EXPECT_FALSE(cache->lookup(k).has_value());
+
+  ::munmap(base, config.bytes);
+}
+
 TEST(ShmCacheRejectionTest, MissingSegment) {
   EXPECT_FALSE(ShmQueryCache::segmentExists("/sde_shmtest_never_created"));
   EXPECT_THROW((void)ShmQueryCache::attach("/sde_shmtest_never_created"),
@@ -216,18 +302,21 @@ TEST(ShmCacheRejectionTest, LayoutVersionMismatch) {
   { auto cache = ShmQueryCache::create(seg.name); }
 
   // Poke the version field (a u32 right after the 8-byte magic) to a
-  // future value: a valid segment of a DIFFERENT build must be refused,
-  // never reinterpreted.
+  // future value, and to version 1 (slots claimed on the state word,
+  // so its writers and this build's would publish one key twice): a
+  // valid segment of a DIFFERENT build must be refused, never
+  // reinterpreted.
   const int fd = ::shm_open(seg.name.c_str(), O_RDWR, 0600);
   ASSERT_GE(fd, 0);
   void* base = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
   ASSERT_NE(base, MAP_FAILED);
-  const std::uint32_t bogus = 999;
-  std::memcpy(static_cast<char*>(base) + 8, &bogus, sizeof(bogus));
+  for (const std::uint32_t bogus : {999u, 1u}) {
+    std::memcpy(static_cast<char*>(base) + 8, &bogus, sizeof(bogus));
+    EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError)
+        << "version " << bogus;
+  }
   ::munmap(base, 4096);
   ::close(fd);
-
-  EXPECT_THROW((void)ShmQueryCache::attach(seg.name), ShmCacheError);
 }
 
 TEST(ShmCacheRejectionTest, TornGeometryAfterTruncation) {
