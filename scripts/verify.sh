@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + test suite, then a ThreadSanitizer
-# build running the concurrency-sensitive tests (thread pool, parallel
-# partitioned execution, durable resume) and an AddressSanitizer build
+# build running the concurrency-sensitive tests (thread pool, the thread
+# runner, the shm query cache shared by threads) and an AddressSanitizer build
 # running the full suite (the snapshot codec hand-rolls binary framing,
 # exactly where ASan earns its keep). Run from anywhere; builds live in
 # the repo. The fork()+SIGKILL crash and chaos tests skip themselves
@@ -63,8 +63,8 @@ test -n "$DIGEST_P4" && test "$DIGEST_P4" = "$DIGEST_P1" \
   || { echo "fleet digest mismatch: p4='$DIGEST_P4' p1='$DIGEST_P1'"; exit 1; }
 echo "fleet digests agree: $DIGEST_P4"
 
-echo "=== dispatch smoke: switch-dispatch digests == threaded/fused digests ==="
-# The VM dispatch strategy (threaded/fused vs the switch interpreter) and
+echo "=== dispatch smoke: switch-dispatch digests == fused digests ==="
+# The VM dispatch strategy (fused vs the switch interpreter) and
 # same-key event batching must be unobservable in the results: re-run the
 # fleet smoke plans with SDE_DISPATCH=switch and compare fingerprint
 # digests against the default (fused) launches above, at both process
@@ -218,13 +218,17 @@ echo "=== release: fork-sharing differential fuzz oracle ==="
 echo "=== tsan: configure + build (SDE_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DSDE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-tsan -j --target support_tests sde_tests snapshot_tests \
+cmake --build build-tsan -j --target support_tests sde_tests solver_tests \
   merge_tests
 
-echo "=== tsan: thread pool + parallel execution + resume tests ==="
+echo "=== tsan: thread pool + thread runner + in-process shm query cache ==="
 ./build-tsan/tests/support_tests --gtest_filter='*ThreadPool*'
-./build-tsan/tests/sde_tests --gtest_filter='*Parallel*'
-./build-tsan/tests/snapshot_tests --gtest_filter='*Resume*:*CrashRecovery*'
+# The thread runner shares one ShmQueryCache mapping between its threads.
+./build-tsan/tests/sde_tests \
+  --gtest_filter='*Parallel*:SolverPipelineDifferentialTest.*:SolverSmokeTest.*'
+# TSan cannot safely follow fork(): the multi-process cases stay out.
+./build-tsan/tests/solver_tests \
+  --gtest_filter='PipelineTest.SharedCache*:ShmCache*-*MultiProcess*'
 
 echo "=== tsan: merge-on vs merge-off differential battery ==="
 ./build-tsan/tests/merge_tests
@@ -244,7 +248,7 @@ echo "=== asan: merge-on vs merge-off differential battery ==="
 ./build-asan/tests/merge_tests
 
 echo "=== asan: dispatch-mode differential battery ==="
-# Threaded dispatch walks a pre-decoded instruction array with computed
+# Fused dispatch walks a pre-decoded instruction array with computed
 # gotos and caches interned constants in mutable decode slots — pointer
 # arithmetic ASan must bless on every seed.
 ./build-asan/tests/dispatch_tests

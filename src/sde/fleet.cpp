@@ -150,7 +150,7 @@ struct WorkerContext {
   const EngineFactory* factory = nullptr;
   const PartitionPlan* plan = nullptr;
   const FleetConfig* config = nullptr;
-  solver::SharedQueryStore* shared = nullptr;  // inherited shm mapping
+  solver::ShmQueryCache* shared = nullptr;  // inherited shm mapping
   // Live metrics: the worker's registry (the process-global one, reset
   // right after fork so inherited coordinator counters are not
   // re-counted) and the inherited shm plane mapping. Slot i publishes
@@ -307,8 +307,7 @@ bool workerRunOneJob(WorkerContext& w) {
     if (w.metrics != nullptr) engine->setProfiler(&metricsProfiler);
 
     // Tracing: sink installed before restore so a resumed job continues
-    // the suspended run's sequence numbering (same as the thread
-    // runner).
+    // the suspended run's sequence numbering.
     std::ofstream traceOs;
     std::unique_ptr<obs::StreamTraceSink> traceSink;
     if (!config.traceDir.empty()) {
@@ -532,9 +531,6 @@ class Coordinator {
     pc_.collectScenarioFingerprints = config.collectScenarioFingerprints;
     pc_.collectStateFingerprints = config.collectStateFingerprints;
     pc_.collectTestcases = config.collectTestcases;
-    pc_.checkpointDir = config.checkpointDir;
-    pc_.checkpointEveryEvents = config.checkpointEveryEvents;
-    pc_.scenarioSpec = config.scenarioSpec;
     pc_.traceDir = config.traceDir;
   }
 
@@ -1002,9 +998,9 @@ class Coordinator {
     }
   }
 
-  // Builds the merged ParallelResult from the durable queue — the same
-  // .done files, folded by the same finalizeParallelResult as the
-  // thread runner.
+  // Builds the merged ParallelResult from the durable queue: the .done
+  // files, folded by the same finalizeParallelResult as the thread
+  // runner.
   void merge() {
     ParallelResult& pr = result_.result;
     pr.jobs.resize(plan_.jobs.size());
@@ -1095,8 +1091,9 @@ FleetResult runFleet(const EngineFactory& factory, const PartitionPlan& plan,
   ScopedSigpipeIgnore sigpipe;
   ScopedSigtermSuspend sigterm(config.installSigtermSuspend);
 
-  // Durable queue setup — identical semantics to the thread runner's
-  // durable mode, so sde_checkpoint and resume tooling work unchanged.
+  // Durable queue setup: the manifest binds the directory to this run
+  // (a resume of a foreign directory throws, a fresh start clears stale
+  // job files).
   const fs::path dir = config.checkpointDir;
   fs::create_directories(dir);
   if (!config.traceDir.empty()) fs::create_directories(config.traceDir);

@@ -2,13 +2,16 @@
 // processes").
 //
 // The thread runner (sde/parallel.hpp) spreads partition jobs over a
-// thread pool inside one process. The fleet runner spreads the same
-// jobs over N forked worker *processes* — the test-depth/prefix
-// partitioning view: the 2^B partition jobs are a prefix enumeration of
-// the failure-decision space, and a *shard* is a contiguous job-id
-// range a worker leases. Because each job is a complete shared-nothing
-// engine run, a worker process needs nothing from anyone else to make
-// progress; everything cross-process is coordination:
+// thread pool inside one process and keeps everything in memory. The
+// fleet runner spreads the same jobs over N forked worker *processes*
+// and is the one durable executor: only it writes a manifest, per-job
+// checkpoints and .done files, and resumes a directory. It follows the
+// test-depth/prefix partitioning view: the 2^B partition jobs are a
+// prefix enumeration of the failure-decision space, and a *shard* is a
+// contiguous job-id range a worker leases. Because each job is a
+// complete shared-nothing engine run, a worker process needs nothing
+// from anyone else to make progress; everything cross-process is
+// coordination:
 //
 //   * Durable job queue. The PR 2 checkpoint substrate IS the queue:
 //     the run directory's manifest fixes the job table, `job_<id>.ckpt`
@@ -43,8 +46,8 @@
 //     maxWorkerRestarts). Workers set PR_SET_PDEATHSIG so a dead
 //     coordinator reaps its fleet instead of leaking it.
 //
-//   * Shared-memory query cache. The PR 5 SharedQueryCache promoted to
-//     a process-external store (solver/shm_cache.hpp): the coordinator
+//   * Shared-memory query cache (solver/shm_cache.hpp, the same store
+//     the thread runner shares between its threads): the coordinator
 //     creates (or, on resume, attaches) the segment, seeds it from the
 //     durable shared_cache.bin sidecar, and every worker's solver
 //     shares queries through it live. A torn pre-existing segment
@@ -146,8 +149,8 @@ struct FleetConfig {
   // service passes a deterministic name so it can attach mid-run.
   std::string metricsShmName;
   // REQUIRED — the durable job queue lives here (manifest, .ckpt/.done
-  // files; see snapshot/manifest.hpp). Same layout as the thread
-  // runner's durable mode, so sde_checkpoint understands fleet runs.
+  // files; see snapshot/manifest.hpp), which sde_checkpoint inspects
+  // and validates.
   std::string checkpointDir;
   std::uint64_t checkpointEveryEvents = 256;
   // Resume from checkpointDir: .done jobs load instead of running,

@@ -1,11 +1,13 @@
 #include "sde/parallel.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -14,9 +16,7 @@
 #include "obs/trace_merge.hpp"
 #include "sde/explode.hpp"
 #include "sde/testcase.hpp"
-#include "snapshot/manifest.hpp"
-#include "snapshot/shared_cache_io.hpp"
-#include "solver/shared_cache.hpp"
+#include "solver/shm_cache.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/thread_pool.hpp"
@@ -180,8 +180,8 @@ void finalizeParallelResult(ParallelResult& result, const PartitionPlan& plan,
   result.testcases.assign(testcases.begin(), testcases.end());
   // Trace merge, after the barrier and in job-id order (the input order
   // is the merge tie-break, so it must not depend on completion order).
-  // Jobs loaded from .done files on a resume did not run here and have
-  // no trace file; they are simply absent from the merge.
+  // Jobs a resumed fleet loaded from .done files did not run there and
+  // have no trace file; they are simply absent from the merge.
   if (!config.traceDir.empty()) {
     std::vector<std::string> inputs;
     for (const PartitionJob& job : plan.jobs) {
@@ -325,6 +325,31 @@ std::vector<std::string> expandedScenarioTestcases(
   return result;
 }
 
+namespace {
+
+// The run's shared query cache: a segment of its own, named per process
+// and run and unlinked right after create(), so the mapping lives
+// exactly as long as the run and a killed process leaks nothing.
+// A segment that cannot be created degrades to isolated per-job caches,
+// which changes solver work, never results.
+std::unique_ptr<solver::ShmQueryCache> createRunQueryCache() {
+  static std::atomic<std::uint64_t> runs{0};
+  const std::string name = "/sde_qc_t" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           "_" + std::to_string(runs.fetch_add(1));
+  try {
+    std::unique_ptr<solver::ShmQueryCache> cache =
+        solver::ShmQueryCache::create(name);
+    solver::ShmQueryCache::unlinkSegment(name);
+    return cache;
+  } catch (const solver::ShmCacheError& e) {
+    support::logError("parallel", e.what());
+    return nullptr;
+  }
+}
+
+}  // namespace
+
 ParallelResult runPartitioned(const EngineFactory& factory,
                               const PartitionPlan& plan,
                               const ParallelConfig& config) {
@@ -343,45 +368,13 @@ ParallelResult runPartitioned(const EngineFactory& factory,
   ParallelResult result;
   result.jobs.resize(plan.jobs.size());
 
-  // Durable mode: bind the run to its checkpoint directory. A resume
-  // must find a manifest of *this* run (or no manifest at all — then it
-  // degrades to a fresh start); a fresh start clears leftover per-job
-  // files so checkpoints of an older run can never leak into this one.
-  namespace fs = std::filesystem;
   const bool tracing = !config.traceDir.empty();
-  const fs::path traceDirPath = config.traceDir;
-  if (tracing) fs::create_directories(traceDirPath);
-  const bool durable = !config.checkpointDir.empty();
-  const fs::path dir = config.checkpointDir;
-  bool resuming = false;
-  if (durable) {
-    fs::create_directories(dir);
-    const snapshot::RunManifest manifest{config.scenarioSpec, config.horizon,
-                                         plan};
-    resuming = snapshot::prepareRunDir(dir, manifest, config.resume);
-  }
+  if (tracing) std::filesystem::create_directories(config.traceDir);
 
-  // Live cross-worker query sharing: one cache for the whole fleet,
-  // attached to every job's solver. Durable runs persist it as the
-  // shared_cache.bin sidecar (checkpoint format v4) so a resumed run
-  // keeps the warm cache; a torn or missing sidecar degrades to a cold
-  // start, never to an error.
-  std::unique_ptr<solver::SharedQueryCache> sharedCache;
-  std::mutex sharedCacheFileMu;
-  const fs::path sharedCacheFile =
-      durable ? fs::path(snapshot::sharedCachePath(dir.string())) : fs::path();
-  if (config.sharedQueryCache) {
-    sharedCache = std::make_unique<solver::SharedQueryCache>();
-    if (resuming && fs::exists(sharedCacheFile)) {
-      try {
-        std::ifstream in(sharedCacheFile, std::ios::binary);
-        snapshot::readSharedCache(in, *sharedCache);
-      } catch (const snapshot::SnapshotError& e) {
-        support::logError("snapshot", e.what());
-        sharedCache->clear();
-      }
-    }
-  }
+  // Live cross-worker query sharing: one cache for the whole run,
+  // attached to every job's solver.
+  std::unique_ptr<solver::ShmQueryCache> sharedCache;
+  if (config.sharedQueryCache) sharedCache = createRunQueryCache();
 
   const unsigned workers = std::max<unsigned>(
       1, std::min<unsigned>(config.workers,
@@ -391,37 +384,14 @@ ParallelResult runPartitioned(const EngineFactory& factory,
     for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
       pool.submit([&, i] {
         const PartitionJob& job = plan.jobs[i];
+        std::unique_ptr<Engine> engine = factory(job);
+        SDE_ASSERT(engine != nullptr, "engine factory returned null");
+        engine->setDecisionFilter(std::unordered_map<std::string, bool>(
+            job.forced.begin(), job.forced.end()));
+        if (caps != nullptr) engine->setSharedCaps(caps.get());
+        if (sharedCache != nullptr)
+          engine->solver().setSharedCache(sharedCache.get());
 
-        // Completed jobs are never re-run: their recorded result is the
-        // result (checked before any engine is even constructed).
-        if (resuming) {
-          const fs::path done = snapshot::jobDonePath(dir, job.id);
-          if (fs::exists(done)) {
-            try {
-              result.jobs[i] = snapshot::readJobResultFile(done);
-              return;
-            } catch (const snapshot::SnapshotError&) {
-              // Torn .done file (hard crash mid-write): re-run the job.
-            }
-          }
-        }
-
-        const auto makeEngine = [&] {
-          std::unique_ptr<Engine> engine = factory(job);
-          SDE_ASSERT(engine != nullptr, "engine factory returned null");
-          engine->setDecisionFilter(std::unordered_map<std::string, bool>(
-              job.forced.begin(), job.forced.end()));
-          if (caps != nullptr) engine->setSharedCaps(caps.get());
-          if (sharedCache != nullptr)
-            engine->solver().setSharedCache(sharedCache.get());
-          return engine;
-        };
-        std::unique_ptr<Engine> engine = makeEngine();
-
-        // Tracing: the sink is installed *before* restore so a resumed
-        // job continues the suspended run's sequence numbering (the
-        // file itself restarts — the pre-crash events live in the old
-        // process's file, which this open truncates).
         std::ofstream traceOs;
         std::unique_ptr<obs::StreamTraceSink> traceSink;
         if (tracing) {
@@ -436,36 +406,6 @@ ParallelResult runPartitioned(const EngineFactory& factory,
           engine->setTraceSink(traceSink.get());
         }
 
-        const fs::path ckpt =
-            durable ? snapshot::jobCheckpointPath(dir, job.id) : fs::path();
-        if (resuming && fs::exists(ckpt)) {
-          try {
-            std::ifstream in(ckpt, std::ios::binary);
-            engine->restore(in);
-          } catch (const snapshot::SnapshotError&) {
-            engine = makeEngine();  // torn checkpoint: restart from scratch
-            if (traceSink != nullptr) engine->setTraceSink(traceSink.get());
-          }
-        }
-        if (durable) {
-          engine->setCheckpointSink(
-              [&](const Engine& e) {
-                snapshot::atomicWriteFile(
-                    ckpt, [&](std::ostream& os) { e.checkpoint(os); });
-                // Piggyback the shared-cache sidecar on the job cadence
-                // (serialized: jobs checkpoint concurrently and the
-                // atomic-write temp file is path-derived).
-                if (sharedCache != nullptr) {
-                  std::lock_guard<std::mutex> lock(sharedCacheFileMu);
-                  snapshot::atomicWriteFile(
-                      sharedCacheFile, [&](std::ostream& os) {
-                        snapshot::writeSharedCache(os, *sharedCache);
-                      });
-                }
-              },
-              config.checkpointEveryEvents);
-        }
-
         const RunOutcome outcome = engine->run(config.horizon);
         result.jobs[i] = collectJobResult(*engine, job, config, outcome);
         if (traceSink != nullptr) {
@@ -476,28 +416,9 @@ ParallelResult runPartitioned(const EngineFactory& factory,
             support::logError("trace", e.what());
           }
         }
-        if (durable && outcome == RunOutcome::kCompleted) {
-          snapshot::writeJobResultFile(snapshot::jobDonePath(dir, job.id),
-                                       result.jobs[i]);
-          std::error_code ec;
-          fs::remove(ckpt, ec);  // superseded by the .done file
-        }
       });
     }
     pool.wait();
-  }
-
-  // Final sidecar write: leave the fully warm cache behind so a later
-  // resume (e.g. after a cap-triggered abort) starts from everything
-  // the whole fleet solved.
-  if (durable && sharedCache != nullptr) {
-    try {
-      snapshot::atomicWriteFile(sharedCacheFile, [&](std::ostream& os) {
-        snapshot::writeSharedCache(os, *sharedCache);
-      });
-    } catch (const snapshot::SnapshotError& e) {
-      support::logError("snapshot", e.what());
-    }
   }
 
   // Deterministic merge barrier: fold the jobs in id order.

@@ -9,13 +9,19 @@
 // plan's variables forced through the engine's decision filter, so the
 // jobs explore disjoint slices of the legacy search tree and never
 // share mutable engine state — workers need no locks around engine
-// internals. The one deliberately shared structure is the
-// SharedQueryCache the runner attaches to every job's solver: workers
-// consult it live and publish canonical results, so a query one job
-// solved is never enumerated again anywhere in the fleet. Its contract
-// (context-independent keys, canonical values only — see
-// solver/shared_cache.hpp) keeps every determinism guarantee below
-// intact with the cache on or off.
+// internals. The one deliberately shared structure is the query cache
+// the runner attaches to every job's solver (solver/shm_cache.hpp, the
+// same table the process fleet shares across fork()): workers consult
+// it live and publish canonical results, so a query one job solved is
+// never enumerated again by another. Its contract (context-independent
+// keys, canonical values only — see solver/shared_cache.hpp) keeps
+// every determinism guarantee below intact with the cache on or off.
+//
+// The thread runner is the in-memory executor: nothing it does touches
+// the disk apart from optional traces. Durable runs — a manifest,
+// per-job checkpoints and .done files, resume after a crash — are the
+// process fleet's job (sde/fleet.hpp), which runs the same plan through
+// the same collectJobResult/finalizeParallelResult code.
 //
 // Determinism: the plan depends only on (variables, seed), jobs are
 // merged in job-id order at a barrier, and each engine is sequential —
@@ -75,29 +81,12 @@ struct ParallelConfig {
   std::uint64_t maxTotalStates = 0;
   std::uint64_t maxTotalMemoryBytes = 0;
   double maxWallSeconds = 0;
-  // Live cross-worker query sharing: one SharedQueryCache attached to
-  // every job's solver for the duration of the run. Off reverts to
+  // Live cross-worker query sharing: one shared query cache attached
+  // to every job's solver for the duration of the run. Off reverts to
   // fully isolated per-job caches. Exploration results are identical
   // either way; only solver work changes.
   bool sharedQueryCache = true;
-  // --- Durable runs (snapshot subsystem) -------------------------------------
-  // Non-empty: the run is crash-tolerant. The directory receives a run
-  // manifest, one periodic checkpoint per unfinished job and one .done
-  // file per completed job (see snapshot/manifest.hpp for the layout).
-  std::string checkpointDir;
-  // Minimum processed events between two checkpoints of one job (the
-  // cadence rides the engine's sampling hook; 0 checkpoints only when a
-  // resource cap aborts a job).
-  std::uint64_t checkpointEveryEvents = 256;
-  // Resume from `checkpointDir`: completed jobs are loaded from their
-  // .done files and never re-run, suspended jobs continue from their
-  // last checkpoint, everything else starts fresh. The directory's
-  // manifest must describe this run (variables, jobs, horizon, spec) —
-  // a mismatch throws snapshot::SnapshotError rather than silently
-  // mixing two runs. A missing manifest degrades to a fresh start.
-  bool resume = false;
-  // Opaque scenario descriptor recorded in the manifest so external
-  // tools (sde_checkpoint resume) can rebuild the engine factory.
+  // Opaque scenario descriptor recorded in every job's trace header.
   std::string scenarioSpec;
   // --- Tracing (obs/) --------------------------------------------------------
   // Non-empty: every job streams a structured event trace to

@@ -1,6 +1,7 @@
 // Durable-run file layout and the run manifest.
 //
-// A checkpointed partitioned run owns one directory:
+// A fleet run (sde/fleet.hpp, the one durable executor) owns one
+// directory:
 //
 //   <dir>/manifest.sde     what this run IS: scenario spec, horizon and
 //                          the full partition plan. Written once at run

@@ -69,17 +69,6 @@ SharedCacheEntries readSharedCacheEntries(std::istream& is) {
   return entries;
 }
 
-void writeSharedCache(std::ostream& os,
-                      const solver::SharedQueryCache& cache) {
-  writeSharedCacheEntries(os, cache.sortedEntries());
-}
-
-void readSharedCache(std::istream& is, solver::SharedQueryCache& cache) {
-  cache.clear();
-  for (auto& [key, result] : readSharedCacheEntries(is))
-    cache.insert(std::move(key), std::move(result));
-}
-
 std::string sharedCachePath(const std::string& checkpointDir) {
   return (std::filesystem::path(checkpointDir) / "shared_cache.bin").string();
 }

@@ -1,6 +1,6 @@
-// Serialization of the cross-worker SharedQueryCache — the
-// shared_cache.bin sidecar a durable parallel run keeps next to its
-// per-job checkpoints (checkpoint format v4). Unlike per-engine
+// Serialization of the shared query cache's entries — the
+// shared_cache.bin sidecar a fleet run keeps next to its per-job
+// checkpoints (checkpoint format v4). Unlike per-engine
 // checkpoints, the shared cache is already context-independent
 // (structural-hash keys, name/width/value model bindings), so the
 // sidecar needs no expression table and can be re-read into any run of
@@ -19,9 +19,8 @@ namespace sde::snapshot {
 
 inline constexpr std::string_view kSharedCacheMagic = "SDESHC";
 
-// The sidecar's payload, store-agnostic: any SharedQueryStore that can
-// enumerate its entries sorted by key serializes through these (the
-// in-process SharedQueryCache and the fleet's ShmQueryCache both do).
+// The sidecar's payload: every entry of a solver::ShmQueryCache, as
+// its sortedEntries() enumerates them.
 using SharedCacheEntries =
     std::vector<std::pair<solver::SharedQueryKey, solver::SharedQueryResult>>;
 
@@ -32,16 +31,6 @@ void writeSharedCacheEntries(std::ostream& os,
 // Parses a sidecar stream. Throws SnapshotError on framing or version
 // mismatch.
 [[nodiscard]] SharedCacheEntries readSharedCacheEntries(std::istream& is);
-
-// Appends every entry of `cache` to the stream, sorted by key for
-// deterministic bytes. Thread-safe against concurrent inserts (each
-// shard is locked while copied), but the result is only a point-in-time
-// snapshot of a quiescent cache.
-void writeSharedCache(std::ostream& os, const solver::SharedQueryCache& cache);
-
-// Replaces the contents of `cache` with the stream's entries. Throws
-// SnapshotError on framing or version mismatch.
-void readSharedCache(std::istream& is, solver::SharedQueryCache& cache);
 
 // The sidecar's location inside a checkpoint directory.
 [[nodiscard]] std::string sharedCachePath(const std::string& checkpointDir);

@@ -67,7 +67,7 @@ class QueryCache {
 
   // Merges `other` into this cache (the legacy post-run barrier of the
   // parallel execution mode, kept for offline aggregation; live runs
-  // share through SharedQueryCache instead). Result entries are
+  // share through ShmQueryCache instead). Result entries are
   // unioned — when both caches solved the same canonical key the
   // results are necessarily equal, so existing entries win — and the
   // model windows keep the newest models of both caches up to their

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <utility>
 
-#include "solver/shared_cache.hpp"
+#include "solver/shm_cache.hpp"
 #include "support/assert.hpp"
 
 namespace sde::solver {

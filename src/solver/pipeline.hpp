@@ -15,7 +15,7 @@
 //                     proves UNSAT), then model-pool counterexample
 //                     reuse (a cached model satisfying the query proves
 //                     SAT, KLEE-style)
-//   shared-cache    — the cross-worker SharedQueryCache, consulted live
+//   shared-cache    — the cross-worker ShmQueryCache, consulted live
 //   interval        — interval-arithmetic refutation
 //   enumerate       — complete (bounded) model enumeration; always
 //                     answers
@@ -55,7 +55,7 @@
 
 namespace sde::solver {
 
-class SharedQueryStore;
+class ShmQueryCache;
 
 struct SolverConfig {
   bool useIndependence = true;
@@ -68,7 +68,7 @@ struct SolverConfig {
   // The subsumption stage (UNSAT-subset + model pool). The recent-model
   // reuse window predates the pipeline and is governed by useCache.
   bool useSubsumption = true;
-  // Gate for consulting/publishing an attached SharedQueryCache.
+  // Gate for consulting/publishing an attached ShmQueryCache.
   bool useSharedCache = true;
   EnumConfig enumeration;
 };
@@ -82,7 +82,7 @@ struct LayerQuery {
   QueryKey key;                            // filled by canonicalize
   expr::IntervalEnv intervals;             // filled by the interval layer
   QueryCache& cache;
-  SharedQueryStore* shared = nullptr;
+  ShmQueryCache* shared = nullptr;
   // Whether the caller consumes the model (getValue/getModel) or only
   // the status (mayBeTrue and friends). Model-pool reuse answers only
   // status-only queries: its models are genuine but need not match the
@@ -139,8 +139,7 @@ class SolverPipeline {
   [[nodiscard]] LayerAnswer solve(std::span<const expr::Ref> conjunction,
                                   bool needModel);
 
-  void setSharedCache(SharedQueryStore* shared) { shared_ = shared; }
-  [[nodiscard]] SharedQueryStore* sharedCache() const { return shared_; }
+  void setSharedCache(ShmQueryCache* shared) { shared_ = shared; }
 
   // Live metrics plane, pointer-guarded like the trace sink: null (the
   // default) costs one compare per layer. Registers one latency
@@ -158,7 +157,7 @@ class SolverPipeline {
   const SolverConfig& config_;
   QueryCache& cache_;
   support::StatsRegistry& stats_;
-  SharedQueryStore* shared_ = nullptr;
+  ShmQueryCache* shared_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::vector<std::unique_ptr<SolverLayer>> layers_;
 };

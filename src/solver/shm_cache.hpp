@@ -1,13 +1,14 @@
-// Process-external shared query cache: the SharedQueryCache promoted to
-// a fixed-size POSIX shared-memory segment so the *fleet* execution mode
-// (sde/fleet.hpp — worker processes, not threads) keeps the live
-// cross-worker hit rate of parallel runs.
+// The shared query cache: a fixed-size POSIX shared-memory table that
+// every worker of a run consults live and publishes canonical results
+// into (see shared_cache.hpp for the key/value contract). One store
+// serves both executors: the fleet's worker processes inherit the
+// coordinator's mapping across fork(), and the thread runner's workers
+// share one in-process mapping (sde/parallel.hpp).
 //
 // Layout: one versioned header followed by a fixed table of
-// open-addressed slots. The in-process cache's mutex striping becomes
-// per-slot atomic publication here — a process-shared mutex can be
-// leaked forever by a SIGKILLed holder, while a slot-claim CAS cannot
-// wedge anybody:
+// open-addressed slots, published by per-slot atomics rather than
+// locks — a process-shared mutex can be leaked forever by a SIGKILLed
+// holder, while a slot-claim CAS cannot wedge anybody:
 //
 //   * insert claims a slot by one CAS on its digest word (0 -> the key's
 //     digest; digest 0 is reserved as free), writes the payload, then
@@ -26,11 +27,10 @@
 //     load) reads a complete, final payload. A lookup ends its probe at
 //     a free slot, trusts only published slots and re-checks the key.
 //
-// Everything else follows the SharedQueryStore contract (see
-// shared_cache.hpp): context-independent keys, canonical values only,
-// so exploration stays byte-identical with the segment attached or not.
-// The store is best-effort by design — a full table or an oversize
-// entry drops the insert, never the correctness.
+// Keys are context-independent and values canonical, so exploration
+// stays byte-identical with the segment attached or not. The store is
+// best-effort by design — a full table or an oversize entry drops the
+// insert, never the correctness.
 //
 // Robustness: attach() validates magic, layout version, the two-phase
 // init marker and the geometry against the actual segment size before
@@ -69,7 +69,7 @@ struct ShmCacheConfig {
   std::uint32_t nameBytes = 40;  // per binding, including the NUL
 };
 
-class ShmQueryCache final : public SharedQueryStore {
+class ShmQueryCache final {
  public:
   // Creates a fresh segment `name` (a POSIX shm name, "/sde_qc_...").
   // Fails with ShmCacheError if the name exists or the segment cannot
@@ -91,15 +91,17 @@ class ShmQueryCache final : public SharedQueryStore {
   // its validity — attach() judges that).
   [[nodiscard]] static bool segmentExists(const std::string& name);
 
-  ~ShmQueryCache() override;
+  ~ShmQueryCache();
   ShmQueryCache(const ShmQueryCache&) = delete;
   ShmQueryCache& operator=(const ShmQueryCache&) = delete;
 
-  // SharedQueryStore. Safe to call concurrently from any process
-  // attached to the segment (and from any thread).
+  // Safe to call concurrently from any process attached to the segment
+  // and from any thread. A lookup returns the result by value. An
+  // insert of a key that is already held (necessarily with an equal
+  // value) is dropped: first writer wins.
   [[nodiscard]] std::optional<SharedQueryResult> lookup(
-      const SharedQueryKey& key) const override;
-  void insert(const SharedQueryKey& key, SharedQueryResult result) override;
+      const SharedQueryKey& key) const;
+  void insert(const SharedQueryKey& key, SharedQueryResult result);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t capacitySlots() const;

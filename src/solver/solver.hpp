@@ -58,18 +58,15 @@ class Solver final : public SolverClient {
   support::StatsRegistry& stats() { return stats_; }
   [[nodiscard]] expr::Context& context() const override { return ctx_; }
   // The query cache, exposed for checkpointing and the offline merge of
-  // per-worker caches (live runs share through the SharedQueryCache).
+  // per-worker caches (live runs share through the ShmQueryCache).
   [[nodiscard]] QueryCache& cache() { return cache_; }
   [[nodiscard]] const QueryCache& cache() const { return cache_; }
 
   // Attaches the cross-worker shared cache (not owned; must outlive
   // this solver). The pipeline consults it live on every query that
   // misses the local layers and publishes canonical results back.
-  void setSharedCache(SharedQueryStore* shared) {
+  void setSharedCache(ShmQueryCache* shared) {
     pipeline_.setSharedCache(shared);
-  }
-  [[nodiscard]] SharedQueryStore* sharedCache() const {
-    return pipeline_.sharedCache();
   }
 
   [[nodiscard]] const SolverPipeline& pipeline() const { return pipeline_; }

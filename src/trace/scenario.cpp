@@ -252,8 +252,7 @@ PartitionedCollectResult runCollectPartitioned(
       planPartitions(scenario.partitionVariables(numPartitionVariables));
   if (parallelConfig.horizon == 0)
     parallelConfig.horizon = config.simulationTime;
-  if (!parallelConfig.checkpointDir.empty() &&
-      parallelConfig.scenarioSpec.empty())
+  if (parallelConfig.scenarioSpec.empty())
     parallelConfig.scenarioSpec =
         encodeCollectScenarioSpec(config, numPartitionVariables);
 

@@ -146,10 +146,10 @@ struct PartitionedCollectResult {
 
 // Runs the collect scenario partitioned over `numPartitionVariables`
 // drop decisions (2^n jobs) on parallelConfig.workers threads. A zero
-// parallelConfig.horizon defaults to config.simulationTime. When
-// parallelConfig.checkpointDir is set and no scenarioSpec was provided,
-// the encoded spec of (config, numPartitionVariables) is recorded in
-// the run manifest, making the directory self-describing.
+// parallelConfig.horizon defaults to config.simulationTime. When no
+// scenarioSpec was provided, the encoded spec of (config,
+// numPartitionVariables) goes into every job's trace header, exactly as
+// runCollectFleet records it.
 [[nodiscard]] PartitionedCollectResult runCollectPartitioned(
     const CollectScenarioConfig& config, ParallelConfig parallelConfig,
     std::size_t numPartitionVariables);
@@ -168,7 +168,7 @@ struct PartitionedCollectResult {
 // --- Durable-run scenario codec ----------------------------------------------
 // Renders a CollectScenarioConfig (plus the partition-variable count)
 // as the opaque scenario spec recorded in a run manifest, and parses it
-// back, so `sde_checkpoint resume` can rebuild the identical fleet from
+// back, so `sde_fleet resume` can rebuild the identical fleet from
 // the checkpoint directory alone. The codec covers every field that
 // influences the explored state space; encode/decode round-trips
 // exactly.

@@ -10,8 +10,8 @@
 // call stacks, merge join points and checkpointed pcs keep their exact
 // baseline meaning.
 //
-// Superinstructions: in kFused mode, a slot whose instruction pair
-// (i, i+1) matches a fusion rule gets a combined handler that executes
+// Superinstructions: a slot whose instruction pair (i, i+1) matches a
+// fusion rule gets a combined handler that executes
 // both bodies back-to-back and skips to i+2. Slot i+1 always keeps its
 // own standalone handler, so control entering at i+1 (jump target, call
 // return, entry point) still executes it normally — fusion never needs
@@ -32,17 +32,16 @@
 namespace sde::vm {
 
 enum class DispatchMode : std::uint8_t {
-  kSwitch = 0,   // PR-baseline per-step decode switch
-  kThreaded,     // pre-decoded stream + computed-goto dispatch
-  kFused,        // kThreaded + superinstructions (the default)
+  kSwitch = 0,  // per-step decode switch: the differential oracle
+  kFused,       // pre-decoded stream + computed-goto dispatch +
+                // superinstructions (the default)
 };
 
 [[nodiscard]] std::string_view dispatchModeName(DispatchMode mode);
-// Parses "switch" / "threaded" / "fused" (case-sensitive).
+// Parses "switch" / "fused" (case-sensitive).
 [[nodiscard]] bool parseDispatchMode(std::string_view text, DispatchMode& out);
-// Process-wide default: SDE_DISPATCH=switch|threaded|fused wins, else the
-// boolean SDE_THREADED_DISPATCH (0 => switch, nonzero => fused), else
-// kFused. Read once and cached — the toggle is a process property.
+// Process-wide default: SDE_DISPATCH=switch|fused, else kFused. Read
+// once and cached — the toggle is a process property.
 [[nodiscard]] DispatchMode dispatchModeFromEnv();
 // SDE_OPCODE_TIME=1: per-opcode self-time + adjacent-pair histogram
 // (forces the switch executor; see InterpConfig::opcodeTiming).
@@ -87,10 +86,10 @@ struct DecodedInstr {
 
 class DecodedProgram {
  public:
-  // Decodes and validates `program`; `fuse` selects superinstructions.
+  // Decodes and validates `program` and selects its superinstructions.
   // Validation (register indices, jump targets, symbolic widths) happens
   // here once, replacing the per-fetch checks of Program::at().
-  DecodedProgram(const Program& program, bool fuse);
+  explicit DecodedProgram(const Program& program);
 
   [[nodiscard]] const DecodedInstr* code() const { return code_.data(); }
   [[nodiscard]] std::size_t size() const { return code_.size(); }

@@ -34,6 +34,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/metrics_shm.hpp"
 #include "sde/fleet.hpp"
 #include "snapshot/manifest.hpp"
 #include "solver/shm_cache.hpp"
@@ -242,6 +243,16 @@ TEST(FleetCrashTest, KilledCoordinatorRunIsResumableFromTheDirectory) {
     ASSERT_EQ(kill(child, SIGKILL), 0);
     ASSERT_EQ(waitpid(child, &status, 0), child);
   }
+  // The killed coordinator never unlinked its live-metrics segment (the
+  // derived name "/sde_mx_<coordinator pid>"); whoever kills a fleet
+  // owns that cleanup.
+  const std::string metricsName =
+      "/sde_mx_" + std::to_string(static_cast<long>(child));
+  if (!childExited) {
+    EXPECT_TRUE(obs::ShmMetricsPlane::segmentExists(metricsName));
+  }
+  obs::ShmMetricsPlane::unlinkSegment(metricsName);
+  EXPECT_FALSE(obs::ShmMetricsPlane::segmentExists(metricsName));
   ASSERT_TRUE(fs::exists(snapshot::manifestPath(dir)))
       << "coordinator died before writing the manifest";
 

@@ -192,15 +192,12 @@ TEST(FleetTraceTest, MergedTraceMatchesThreadRunnerByteForByte) {
   const auto config = smallGrid(MapperKind::kSds, 2500);
 
   // Thread runner with tracing, shared cache off (see file comment).
+  // Both runners record the encoded scenario spec in the trace header.
   const fs::path threadTraces = freshDir("fleet_trc_threads");
-  const fs::path threadCkpt = freshDir("fleet_trc_threads_ckpt");
   ParallelConfig threads;
   threads.workers = 2;
   threads.sharedQueryCache = false;
   threads.traceDir = threadTraces.string();
-  // Durable on both sides: the merged-trace header embeds the recorded
-  // scenario spec, so the thread run must record one too.
-  threads.checkpointDir = threadCkpt.string();
   ASSERT_EQ(trace::runCollectPartitioned(config, threads, /*vars=*/3)
                 .result.outcome,
             RunOutcome::kCompleted);
@@ -221,8 +218,7 @@ TEST(FleetTraceTest, MergedTraceMatchesThreadRunnerByteForByte) {
   EXPECT_EQ(fleetMerged, threadMerged)
       << "fleet merged.trc diverges from the thread runner's";
 
-  for (const fs::path& dir :
-       {threadTraces, threadCkpt, fleetTraces, fleetCkpt})
+  for (const fs::path& dir : {threadTraces, fleetTraces, fleetCkpt})
     fs::remove_all(dir);
 }
 

@@ -13,7 +13,9 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "sde/fleet.hpp"
 #include "snapshot/manifest.hpp"
@@ -111,43 +113,69 @@ TEST(FleetSuspendTest, StopHookSuspendsAndResumeMatchesReferenceDigest) {
 }
 
 // A suspend request that lands mid-job exercises the engine abort path:
-// the in-flight job must reappear as a .ckpt (not vanish, not .done).
+// the in-flight job must reappear as a .ckpt (not vanish, not .done),
+// and resuming the directory must reach the uninterrupted run's digest.
+// Both mappers whose restore paths differ most (COW dstate splits, SDS
+// virtual pools) go through it.
 TEST(FleetSuspendTest, MidJobSuspendLeavesResumableCheckpoint) {
-  const auto config = scenarioConfig();
-  constexpr std::size_t kVars = 2;
+  for (const MapperKind mapper : {MapperKind::kCow, MapperKind::kSds}) {
+    SCOPED_TRACE(std::string(mapperKindName(mapper)));
+    auto config = scenarioConfig();
+    config.mapper = mapper;
+    constexpr std::size_t kVars = 2;
+    const std::uint64_t expected = referenceDigest(config, kVars);
 
-  const fs::path dir = freshDir("fleet_suspend_midjob");
-  FleetConfig fleet;
-  fleet.processes = 1;
-  fleet.checkpointDir = dir.string();
-  fleet.shmQueryCache = false;
-  fleet.checkpointEveryEvents = 64;
-  // Trip the stop hook from inside the run: the chaos checkpoint hook
-  // runs in the worker process, so signal through the file system.
-  const fs::path sentinel = dir / "suspend_now";
-  fleet.chaos.onCheckpoint = [sentinel](unsigned, std::uint32_t) {
-    std::ofstream(sentinel).put('x');
-  };
-  fleet.stopRequested = [&sentinel] { return fs::exists(sentinel); };
+    const fs::path dir = freshDir("fleet_suspend_midjob_" +
+                                  std::string(mapperKindName(mapper)));
+    FleetConfig fleet;
+    fleet.processes = 1;
+    fleet.checkpointDir = dir.string();
+    fleet.shmQueryCache = false;
+    fleet.checkpointEveryEvents = 64;
+    // Trip the stop hook from inside the run: the chaos checkpoint hook
+    // runs in the worker process, so signal through the file system.
+    const fs::path sentinel = dir / "suspend_now";
+    fleet.chaos.onCheckpoint = [sentinel](unsigned, std::uint32_t) {
+      std::ofstream(sentinel).put('x');
+    };
+    fleet.stopRequested = [&sentinel] { return fs::exists(sentinel); };
 
-  const FleetResult first = trace::runCollectFleet(config, fleet, kVars);
-  ASSERT_TRUE(first.suspended);
-  EXPECT_GE(first.jobsSuspendedMidRun, 1u);
+    const FleetResult first = trace::runCollectFleet(config, fleet, kVars);
+    ASSERT_TRUE(first.suspended);
+    EXPECT_GE(first.jobsSuspendedMidRun, 1u);
 
-  bool anyCheckpoint = false;
-  for (std::uint32_t id = 0; id < 4; ++id)
-    anyCheckpoint |= fs::exists(snapshot::jobCheckpointPath(dir, id));
-  EXPECT_TRUE(anyCheckpoint);
+    bool anyCheckpoint = false;
+    for (std::uint32_t id = 0; id < 4; ++id)
+      anyCheckpoint |= fs::exists(snapshot::jobCheckpointPath(dir, id));
+    EXPECT_TRUE(anyCheckpoint);
 
-  FleetConfig resumeConfig;
-  resumeConfig.processes = 1;
-  resumeConfig.checkpointDir = dir.string();
-  resumeConfig.resume = true;
-  resumeConfig.shmQueryCache = false;
-  const FleetResult second =
-      trace::runCollectFleet(config, resumeConfig, kVars);
-  EXPECT_EQ(second.result.fingerprintDigest(),
-            referenceDigest(config, kVars));
+    FleetConfig resumeConfig;
+    resumeConfig.processes = 1;
+    resumeConfig.checkpointDir = dir.string();
+    resumeConfig.resume = true;
+    resumeConfig.shmQueryCache = false;
+    const FleetResult second =
+        trace::runCollectFleet(config, resumeConfig, kVars);
+    EXPECT_EQ(second.result.outcome, RunOutcome::kCompleted);
+    EXPECT_EQ(second.result.fingerprintDigest(), expected);
+
+    // A completed run leaves every job's .done marker and no stale
+    // checkpoint to resume from.
+    for (std::uint32_t id = 0; id < 4; ++id) {
+      EXPECT_TRUE(fs::exists(snapshot::jobDonePath(dir, id))) << "job " << id;
+      EXPECT_FALSE(fs::exists(snapshot::jobCheckpointPath(dir, id)))
+          << "job " << id;
+    }
+
+    // Resuming a completed run only replays the .done files: nothing
+    // executes and the digest is the same.
+    const FleetResult replay =
+        trace::runCollectFleet(config, resumeConfig, kVars);
+    EXPECT_EQ(replay.result.fingerprintDigest(), expected);
+    EXPECT_EQ(replay.executedCounts,
+              std::vector<std::uint32_t>(4, 0u));
+    fs::remove_all(dir);
+  }
 }
 
 // Merge mode across suspend/restore: a merged exploration interrupted

@@ -4,9 +4,13 @@
 // the pipeline wiring silently dropped it.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <string>
+
 #include "sde/explode.hpp"
 #include "sde/testcase.hpp"
-#include "solver/shared_cache.hpp"
+#include "solver/shm_cache.hpp"
 #include "trace/scenario.hpp"
 
 namespace sde {
@@ -19,8 +23,13 @@ TEST(SolverSmokeTest, EveryPipelineLayerSeesTrafficOnTheExampleScenario) {
   config.simulationTime = 3000;
   trace::CollectScenario scenario(config);
 
-  solver::SharedQueryCache shared;
-  scenario.engine().solver().setSharedCache(&shared);
+  // A private shared-cache segment, unlinked at once: the mapping lives
+  // as long as `shared`, the shm namespace keeps nothing.
+  const std::string shmName =
+      "/sde_qc_smoke_" + std::to_string(static_cast<long>(::getpid()));
+  const auto shared = solver::ShmQueryCache::create(shmName);
+  solver::ShmQueryCache::unlinkSegment(shmName);
+  scenario.engine().solver().setSharedCache(shared.get());
   ASSERT_EQ(scenario.run().outcome, RunOutcome::kCompleted);
 
   // Exploration branches in the failure models; the solver-heavy phase

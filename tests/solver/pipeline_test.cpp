@@ -1,15 +1,19 @@
 // The layered solver pipeline: canonical-key hygiene, the subsumption
 // stores, per-layer counters, pipeline-vs-monolithic equivalence, and
-// the cross-worker SharedQueryCache (including the concurrent
-// never-fabricates-a-result property).
+// the cross-worker ShmQueryCache shared by the threads of one process
+// (including the concurrent never-fabricates-a-result property).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "solver/shared_cache.hpp"
+#include "solver/shm_cache.hpp"
 #include "solver/solver.hpp"
 
 namespace sde::solver {
@@ -159,10 +163,24 @@ TEST_F(PipelineTest, PipelineMatchesMonolithicOnRandomQueries) {
   }
 }
 
-// --- SharedQueryCache --------------------------------------------------------
+// --- Shared query cache, in process -----------------------------------------
+
+// A private segment, unlinked at once (as the thread runner does): the
+// mapping lives as long as the returned cache and nothing is left in
+// the shm namespace, whatever happens to the test.
+std::unique_ptr<ShmQueryCache> privateCache() {
+  static int counter = 0;
+  const std::string name = "/sde_qc_pipeline_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           "_" + std::to_string(counter++);
+  std::unique_ptr<ShmQueryCache> cache = ShmQueryCache::create(name);
+  ShmQueryCache::unlinkSegment(name);
+  return cache;
+}
 
 TEST_F(PipelineTest, SharedCacheRoundTripsAcrossContexts) {
-  SharedQueryCache shared;
+  const auto cache = privateCache();
+  ShmQueryCache& shared = *cache;
   Solver producer(ctx);
   producer.setSharedCache(&shared);
   ConstraintSet cs;
@@ -184,7 +202,8 @@ TEST_F(PipelineTest, SharedCacheRoundTripsAcrossContexts) {
 }
 
 TEST_F(PipelineTest, SharedCacheFirstWriterWins) {
-  SharedQueryCache shared;
+  const auto cache = privateCache();
+  ShmQueryCache& shared = *cache;
   const SharedQueryKey key{42};
   shared.insert(key, {EnumStatus::kUnsat, {}});
   SharedQueryResult rival{EnumStatus::kSat, {{"x", 8, 1}}};
@@ -192,14 +211,16 @@ TEST_F(PipelineTest, SharedCacheFirstWriterWins) {
   const auto held = shared.lookup(key);
   ASSERT_TRUE(held.has_value());
   EXPECT_EQ(held->status, EnumStatus::kUnsat);
-  EXPECT_EQ(shared.size(), 1u);
+  EXPECT_EQ(shared.entries(), 1u);
 }
 
-// Property: under concurrent insert/lookup the cache never returns a
-// result for a key no worker actually solved (published), and what it
-// returns is exactly what was published for that key.
+// Property: under concurrent insert/lookup from threads of one process
+// the cache never returns a result for a key no worker actually solved
+// (published), what it returns is exactly what was published for that
+// key, and every key is published once however many threads race on it.
 TEST_F(PipelineTest, SharedCacheNeverFabricatesResultsUnderConcurrency) {
-  SharedQueryCache shared(/*shards=*/8);
+  const auto cache = privateCache();
+  ShmQueryCache& shared = *cache;
   constexpr std::uint64_t kUniverse = 512;  // keys {0..511}
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
@@ -258,6 +279,11 @@ TEST_F(PipelineTest, SharedCacheNeverFabricatesResultsUnderConcurrency) {
   std::size_t totalHits = 0;
   for (const auto& readerHits : hits) totalHits += readerHits.size();
   EXPECT_GT(totalHits, 0u);
+  // First writer wins: one entry per distinct published key.
+  const auto distinct = static_cast<std::uint64_t>(
+      std::count(wasPublished.begin(), wasPublished.end(), true));
+  EXPECT_EQ(shared.entries(), distinct);
+  EXPECT_EQ(shared.sortedEntries().size(), distinct);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Property tests of the process-external shared query store
-// (solver/shm_cache.hpp). The store inherits the SharedQueryStore
-// contract — canonical values only, first writer wins — so its central
+// Property tests of the shared query store (solver/shm_cache.hpp)
+// across processes. The store holds canonical values only and the
+// first writer wins (solver/shared_cache.hpp), so its central
 // soundness property is *no fabrication*: anything a lookup ever
 // returns, from any process, is byte-equal to a value some process
 // actually inserted for exactly that key. The tests drive that with

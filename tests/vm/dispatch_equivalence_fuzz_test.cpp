@@ -1,9 +1,10 @@
 // Differential dispatch oracle (the battery certifying the VM hot path).
 //
-// Threaded dispatch, superinstruction fusion and same-key event batching
-// are pure performance transformations: exploring the same random
-// program under any dispatch mode and batch setting must reproduce the
-// *identical* observable run — test-case set, engine/interpreter/solver
+// Fused dispatch (pre-decoded computed-goto execution with
+// superinstructions) and same-key event batching are pure performance
+// transformations: exploring the same random program under either
+// dispatch mode and batch setting must reproduce the *identical*
+// observable run — test-case set, engine/interpreter/solver
 // counters, and the exact trace byte stream — for every mapping
 // algorithm. Any divergence is a soundness bug: a handler body drifting
 // from the switch interpreter, a fused pair mis-accounting a mid-pair
@@ -113,9 +114,6 @@ TEST_P(DispatchEquivalenceFuzzTest, AllDispatchModesReproduceTheRun) {
   expectSameRun(base,
                 runOnce(program, kind, vm::DispatchMode::kSwitch, true), seed,
                 "switch+batch");
-  expectSameRun(base,
-                runOnce(program, kind, vm::DispatchMode::kThreaded, false),
-                seed, "threaded");
   expectSameRun(base, runOnce(program, kind, vm::DispatchMode::kFused, false),
                 seed, "fused");
   expectSameRun(base, runOnce(program, kind, vm::DispatchMode::kFused, true),
@@ -132,13 +130,28 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<0>(info.param));
     });
 
+// Exactly two dispatch modes exist: the fused executor and the switch
+// interpreter it is checked against. "threaded" (decoded stream without
+// superinstructions) was dominated by "fused" and is no longer a mode.
+TEST(DispatchModeTest, OnlySwitchAndFusedParse) {
+  for (const vm::DispatchMode mode :
+       {vm::DispatchMode::kSwitch, vm::DispatchMode::kFused}) {
+    vm::DispatchMode parsed{};
+    ASSERT_TRUE(vm::parseDispatchMode(vm::dispatchModeName(mode), parsed));
+    EXPECT_EQ(parsed, mode);
+  }
+  vm::DispatchMode untouched = vm::DispatchMode::kSwitch;
+  EXPECT_FALSE(vm::parseDispatchMode("threaded", untouched));
+  EXPECT_EQ(untouched, vm::DispatchMode::kSwitch);
+}
+
 // Anti-vacuity sentinels: the differential oracle proves nothing if the
 // battery's programs never exercise the transformed paths.
 TEST(DispatchEquivalenceVacuityTest, BatteryProgramsActuallyFuse) {
   for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
     RandomProgramGen gen(seed);
     const vm::Program program = gen.generate();
-    const vm::DecodedProgram decoded(program, /*fuse=*/true);
+    const vm::DecodedProgram decoded(program);
     EXPECT_GT(decoded.fusedSlots(), 0u)
         << "seed " << seed << ": no superinstruction ever formed";
   }

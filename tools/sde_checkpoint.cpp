@@ -1,26 +1,19 @@
-// sde_checkpoint — inspect, validate and resume durable SDE runs.
+// sde_checkpoint — inspect and validate durable SDE runs.
 //
 //   sde_checkpoint inspect  <file.ckpt>   header of one engine checkpoint
 //   sde_checkpoint inspect  <dir>         run manifest + per-job progress
 //   sde_checkpoint validate <dir>         parse every file; nonzero exit on
 //                                         any torn/foreign/version-mismatched
 //                                         artifact
-//   sde_checkpoint resume   <dir> [--workers N] [--testcases]
-//                                         rebuild the fleet from the recorded
-//                                         scenario spec and finish the run
 //
-// `resume` only works for runs whose manifest carries a scenario spec this
-// build can decode (runs started through trace::runCollectPartitioned); for
-// other runs, resume from the embedding program that owns the engine factory.
+// To finish an interrupted run directory, use `sde_fleet resume <dir>`.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/manifest.hpp"
-#include "trace/scenario.hpp"
 
 namespace {
 
@@ -108,46 +101,10 @@ int surveyRunDir(const fs::path& dir, bool verbose) {
   return broken;
 }
 
-int resumeRun(const fs::path& dir, unsigned workers, bool testcases) {
-  const snapshot::RunManifest manifest = snapshot::readManifest(dir);
-  const auto decoded =
-      trace::decodeCollectScenarioSpec(manifest.scenarioSpec);
-  if (!decoded) {
-    std::fprintf(stderr,
-                 "manifest has no decodable scenario spec (\"%s\"); resume "
-                 "this run from the program that started it\n",
-                 manifest.scenarioSpec.c_str());
-    return 1;
-  }
-  ParallelConfig parallel;
-  parallel.workers = workers;
-  parallel.horizon = manifest.horizon;
-  parallel.collectTestcases = testcases;
-  parallel.checkpointDir = dir.string();
-  parallel.resume = true;
-  const trace::PartitionedCollectResult outcome = trace::runCollectPartitioned(
-      decoded->config, parallel, decoded->numPartitionVariables);
-  std::printf("outcome            %s\n",
-              std::string(runOutcomeName(outcome.result.outcome)).c_str());
-  std::printf("total states       %llu\n",
-              static_cast<unsigned long long>(outcome.result.totalStates));
-  std::printf("total events       %llu\n",
-              static_cast<unsigned long long>(outcome.result.totalEvents));
-  std::printf(
-      "owned scenarios    %llu\n",
-      static_cast<unsigned long long>(outcome.result.totalScenariosOwned));
-  std::printf("fingerprint digest %016llx\n",
-              static_cast<unsigned long long>(
-                  outcome.result.fingerprintDigest()));
-  return outcome.result.outcome == RunOutcome::kCompleted ? 0 : 2;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: sde_checkpoint inspect  <file.ckpt | dir>\n"
-               "       sde_checkpoint validate <dir>\n"
-               "       sde_checkpoint resume   <dir> [--workers N] "
-               "[--testcases]\n");
+               "       sde_checkpoint validate <dir>\n");
   return 64;
 }
 
@@ -173,19 +130,6 @@ int main(int argc, char** argv) {
       std::printf("ok: manifest and all job files of %s parse cleanly\n",
                   target.string().c_str());
       return 0;
-    }
-    if (command == "resume") {
-      unsigned workers = 1;
-      bool testcases = false;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-          workers = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--testcases") == 0)
-          testcases = true;
-        else
-          return usage();
-      }
-      return resumeRun(target, workers, testcases);
     }
   } catch (const sde::snapshot::SnapshotError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -21,9 +21,8 @@
 //                    shared_cache.bin sidecar)
 //
 // `resume` needs a manifest whose scenario spec this build can decode
-// (runs started by `launch`, trace::runCollectFleet or
-// trace::runCollectPartitioned); foreign runs resume from the program
-// that owns the engine factory.
+// (runs started by `launch` or trace::runCollectFleet); foreign runs
+// resume from the program that owns the engine factory.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
